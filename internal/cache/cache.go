@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pmp/internal/mem"
 )
@@ -74,14 +75,13 @@ func (c Config) Validate() error {
 // SizeBytes returns the data capacity of the configuration.
 func (c Config) SizeBytes() int { return c.Sets * c.Ways * mem.LineBytes }
 
-// lineMeta is the per-line state other than the tag. Tags live in
-// their own parallel array (structure-of-arrays): an associative probe
-// then scans Ways*8 contiguous bytes — a single cache line for
-// 8-way sets — instead of striding through interleaved metadata, and
-// the valid bit is folded into the tag as a sentinel so the tag-match
-// loop is one compare per way.
+// lineMeta is the per-line state other than the tag and the LRU
+// stamp. Tags, stamps and metadata live in parallel arrays
+// (structure-of-arrays): the valid bit is folded into the tag as a
+// sentinel, and victim selection reads only tags and stamps — two runs
+// of Ways*8 contiguous bytes — instead of striding through interleaved
+// metadata.
 type lineMeta struct {
-	lru        uint64 // last-touch stamp (LRU policy)
 	ready      uint64 // cycle the fill completes
 	rrpv       uint8  // re-reference prediction value (SRRIP policy)
 	prefetched bool   // filled by a prefetch
@@ -91,6 +91,40 @@ type lineMeta struct {
 // invalidTag marks an empty way. Real tags are line-aligned (low
 // mem.LineShift bits zero), so this value can never collide.
 const invalidTag mem.Addr = 1
+
+// Tag fingerprints: each way also has a one-byte hash of its tag,
+// packed eight to a word per set (0 marks an empty way; real
+// fingerprints are never 0). findWay compares a set's fingerprints
+// with the probe's eight at a time and checks only the matching ways'
+// full tags, so a miss usually costs a word compare or two instead of
+// Ways tag compares. The tag array stays authoritative: a stale
+// fingerprint could only add a candidate, never hide a line.
+const (
+	lowBytes  = 0x0101010101010101
+	low7Bytes = 0x7F7F7F7F7F7F7F7F
+)
+
+// fingerprint returns line a's nonzero one-byte tag hash: the top byte
+// of its Fibonacci hash, which depends on every tag bit, not just the
+// set-index bits all ways of a set share.
+//
+//pmp:hotpath
+func fingerprint(a mem.Addr) uint64 {
+	f := uint64(a) * 0x9E3779B97F4A7C15 >> 56
+	if f == 0 {
+		f = 1
+	}
+	return f
+}
+
+// zeroBytes returns a word with the high bit of each byte set exactly
+// where x's byte is zero. The exact form (no borrow across bytes)
+// keeps false candidates out.
+//
+//pmp:hotpath
+func zeroBytes(x uint64) uint64 {
+	return ^((x&low7Bytes + low7Bytes) | x | low7Bytes)
+}
 
 // Stats accumulates per-level counters. Demand counters only advance
 // while the owning Cache has stats enabled (warm-up runs with them off).
@@ -181,7 +215,10 @@ type PrefetchEvent struct {
 type Cache struct {
 	cfg     Config
 	tags    []mem.Addr // Sets*Ways, row-major; invalidTag when empty
+	lru     []uint64   // last-touch stamps (LRU policy), parallel to tags
 	meta    []lineMeta // parallel to tags
+	fps     []uint64   // tag fingerprints: fpWords words per set, a byte per way
+	fpWords int
 	setMask uint64
 	stamp   uint64
 	statsOn bool
@@ -209,10 +246,14 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	fpWords := (cfg.Ways + 7) / 8
 	c := &Cache{
 		cfg:     cfg,
 		tags:    make([]mem.Addr, cfg.Sets*cfg.Ways),
+		lru:     make([]uint64, cfg.Sets*cfg.Ways),
 		meta:    make([]lineMeta, cfg.Sets*cfg.Ways),
+		fps:     make([]uint64, cfg.Sets*fpWords),
+		fpWords: fpWords,
 		setMask: uint64(cfg.Sets - 1),
 		mshr:    newMSHRFile(cfg.MSHRs),
 	}
@@ -235,27 +276,49 @@ func (c *Cache) EnableStats(on bool) { c.statsOn = on }
 // ResetStats zeroes the counters (end of warm-up).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// setBase returns the index of the set's first way in the parallel
-// tag/meta arrays.
+// setOf returns the set line a maps to.
 //
 //pmp:hotpath
-func (c *Cache) setBase(a mem.Addr) int {
-	return int(a.LineID()&c.setMask) * c.cfg.Ways
+func (c *Cache) setOf(a mem.Addr) int {
+	return int(a.LineID() & c.setMask)
 }
 
 // findWay returns the array index of the way holding line a (already
-// line-aligned), or -1. One tag compare per way over contiguous tags.
+// line-aligned), or -1.
 //
 //pmp:hotpath
 func (c *Cache) findWay(a mem.Addr) int {
-	base := c.setBase(a)
-	for _, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == a {
-			return base
+	return c.findIn(c.setOf(a), a)
+}
+
+// findIn is findWay for a known set: a SWAR zero-byte test over the
+// set's fingerprint words yields the candidate ways, and only those
+// have their full tag compared.
+//
+//pmp:hotpath
+func (c *Cache) findIn(set int, a mem.Addr) int {
+	pat := fingerprint(a) * lowBytes
+	base := set * c.cfg.Ways
+	off := set * c.fpWords
+	for w, word := range c.fps[off : off+c.fpWords] {
+		for m := zeroBytes(word ^ pat); m != 0; m &= m - 1 {
+			i := base + w<<3 + bits.TrailingZeros64(m)>>3
+			if c.tags[i] == a {
+				return i
+			}
 		}
-		base++
 	}
 	return -1
+}
+
+// setFP stores fingerprint f (0 for an empty way) for way `way` of set
+// `set`.
+//
+//pmp:hotpath
+func (c *Cache) setFP(set, way int, f uint64) {
+	p := &c.fps[set*c.fpWords+way>>3]
+	shift := uint(way&7) << 3
+	*p = *p&^(0xFF<<shift) | f<<shift
 }
 
 // Lookup probes for a line at the given cycle.
@@ -276,7 +339,7 @@ func (c *Cache) Lookup(a mem.Addr, now uint64, demand bool) (bool, uint64) {
 	}
 	if i := c.findWay(a); i >= 0 {
 		l := &c.meta[i]
-		l.lru = c.stamp
+		c.lru[i] = c.stamp
 		l.rrpv = 0 // SRRIP: near re-reference on hit
 		ready := now + c.cfg.Latency
 		if l.ready > ready {
@@ -334,13 +397,15 @@ func (c *Cache) Fill(a mem.Addr, readyCycle uint64, prefetched bool) Eviction {
 	if prefetched && c.statsOn {
 		c.stats.PrefetchFills++
 	}
-	if i := c.findWay(a); i >= 0 {
+	set := c.setOf(a)
+	if i := c.findIn(set, a); i >= 0 {
 		if readyCycle < c.meta[i].ready {
 			c.meta[i].ready = readyCycle
 		}
 		return Eviction{}
 	}
-	victim := c.victimIn(c.setBase(a))
+	base := set * c.cfg.Ways
+	victim := c.victimIn(base)
 	ev := Eviction{}
 	v := &c.meta[victim]
 	if vt := c.tags[victim]; vt != invalidTag {
@@ -360,7 +425,9 @@ func (c *Cache) Fill(a mem.Addr, readyCycle uint64, prefetched bool) Eviction {
 		}
 	}
 	c.tags[victim] = a
-	*v = lineMeta{lru: c.stamp, rrpv: 2, ready: readyCycle, prefetched: prefetched}
+	c.setFP(set, victim-base, fingerprint(a))
+	c.lru[victim] = c.stamp
+	*v = lineMeta{rrpv: 2, ready: readyCycle, prefetched: prefetched}
 	if prefetched && c.PrefetchTrace != nil {
 		c.PrefetchTrace(PrefetchEvent{Kind: PrefetchFilled, Line: a, Cycle: readyCycle})
 	}
@@ -368,17 +435,20 @@ func (c *Cache) Fill(a mem.Addr, readyCycle uint64, prefetched bool) Eviction {
 }
 
 // victimIn selects the replacement victim (as an array index) for the
-// set starting at base under the configured policy.
+// set starting at base under the configured policy: the first invalid
+// way, else the policy's choice. Under LRU that is one pass over the
+// set's tags and stamps, the oldest stamp winning (the first on ties).
 //
 //pmp:hotpath
 func (c *Cache) victimIn(base int) int {
 	end := base + c.cfg.Ways
-	for i := base; i < end; i++ {
-		if c.tags[i] == invalidTag {
-			return i
-		}
-	}
+	tags := c.tags[base:end]
 	if c.cfg.Policy == SRRIP {
+		for j, t := range tags {
+			if t == invalidTag {
+				return base + j
+			}
+		}
 		for {
 			for i := base; i < end; i++ {
 				if c.meta[i].rrpv >= 3 {
@@ -390,15 +460,18 @@ func (c *Cache) victimIn(base int) int {
 			}
 		}
 	}
-	victim := base
+	stamps := c.lru[base:end]
+	victim := 0
 	oldest := ^uint64(0)
-	for i := base; i < end; i++ {
-		if c.meta[i].lru < oldest {
-			oldest = c.meta[i].lru
-			victim = i
+	for j, t := range tags {
+		if t == invalidTag {
+			return base + j
+		}
+		if s := stamps[j]; s < oldest {
+			oldest, victim = s, j
 		}
 	}
-	return victim
+	return base + victim
 }
 
 // Invalidate removes a line (inclusive-hierarchy back-invalidation). It
@@ -408,7 +481,8 @@ func (c *Cache) victimIn(base int) int {
 //pmp:hotpath
 func (c *Cache) Invalidate(a mem.Addr) bool {
 	a = a.Line()
-	i := c.findWay(a)
+	set := c.setOf(a)
+	i := c.findIn(set, a)
 	if i < 0 {
 		return false
 	}
@@ -425,6 +499,7 @@ func (c *Cache) Invalidate(a mem.Addr) bool {
 		}
 	}
 	c.tags[i] = invalidTag
+	c.setFP(set, i-set*c.cfg.Ways, 0)
 	return true
 }
 
@@ -473,7 +548,9 @@ func (c *Cache) Flush() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
+	clear(c.lru)
 	clear(c.meta)
+	clear(c.fps)
 	c.mshr.reset()
 	c.stamp = 0
 }

@@ -19,10 +19,12 @@ import "pmp/internal/mem"
 //     (minDone > now). The bound is maintained monotonically on
 //     insert/refresh and recomputed exactly whenever a scan happens
 //     anyway.
-//   - sig is a 64-bit line-hash signature (one Fibonacci-hashed bit per
+//   - sig is a 256-bit line-hash signature (one Fibonacci-hashed bit per
 //     resident line, a 1-hash Bloom filter): find rejects absent lines
 //     with one AND instead of a scan. Bits are only ORed in; the
-//     signature is rebuilt exactly during prune's scan.
+//     signature is rebuilt exactly during prune's scan. 256 bits keep
+//     the filter selective for the LLC's 64-entry file, which would
+//     set most bits of a 64-bit signature.
 //
 // Semantics mirror the original map exactly (the simulator's outputs
 // are bit-identical): an entry persists — even past its completion
@@ -37,17 +39,21 @@ type mshrFile struct {
 	lines   []mem.Addr // entries [0:n] are occupied
 	done    []uint64   // completion cycles, parallel to lines
 	n       int
-	minDone uint64 // lower bound on min done[0:n]; ^0 when empty
-	sig     uint64 // superset of lineSig bits of resident lines
+	minDone uint64    // lower bound on min done[0:n]; ^0 when empty
+	sig     [4]uint64 // superset of lineSig bits of resident lines
 }
 
-// lineSig hashes a line address to a single signature bit. Fibonacci
-// hashing (multiply by 2^64/phi, take the top bits) spreads the
-// low-entropy line addresses evenly across the 64 signature bits.
+// lineSig hashes a line address to a single signature bit, returned as
+// a word index into sig and a mask. Fibonacci hashing (multiply by
+// 2^64/phi, take the top 8 bits) spreads the low-entropy line
+// addresses evenly across the 256 signature bits. The word index is
+// below 4; callers mask it with &3 so the compiler drops the bounds
+// check.
 //
 //pmp:hotpath
-func lineSig(line mem.Addr) uint64 {
-	return 1 << (uint64(line) * 0x9E3779B97F4A7C15 >> 58)
+func lineSig(line mem.Addr) (int, uint64) {
+	h := uint64(line) * 0x9E3779B97F4A7C15 >> 56
+	return int(h >> 6), 1 << (h & 63)
 }
 
 // newMSHRFile sizes the file for `capacity` simultaneous misses.
@@ -66,7 +72,7 @@ func newMSHRFile(capacity int) mshrFile {
 //
 //pmp:hotpath
 func (m *mshrFile) find(line mem.Addr) int {
-	if m.sig&lineSig(line) == 0 {
+	if w, bit := lineSig(line); m.sig[w&3]&bit == 0 {
 		return -1
 	}
 	for i := 0; i < m.n; i++ {
@@ -89,7 +95,7 @@ func (m *mshrFile) prune(now uint64) int {
 		return m.n
 	}
 	minDone := ^uint64(0)
-	var sig uint64
+	var sig [4]uint64
 	for i := 0; i < m.n; {
 		if m.done[i] <= now {
 			m.n--
@@ -97,7 +103,8 @@ func (m *mshrFile) prune(now uint64) int {
 			m.done[i] = m.done[m.n]
 		} else {
 			minDone = min(minDone, m.done[i])
-			sig |= lineSig(m.lines[i])
+			w, bit := lineSig(m.lines[i])
+			sig[w&3] |= bit
 			i++
 		}
 	}
@@ -138,7 +145,8 @@ func (m *mshrFile) reserve(line mem.Addr, now, done uint64, limit int) bool {
 	m.done[m.n] = done
 	m.n++
 	m.minDone = min(m.minDone, done)
-	m.sig |= lineSig(line)
+	w, bit := lineSig(line)
+	m.sig[w&3] |= bit
 	return true
 }
 
@@ -162,5 +170,5 @@ func (m *mshrFile) earliest(now uint64) (uint64, bool) {
 func (m *mshrFile) reset() {
 	m.n = 0
 	m.minDone = ^uint64(0)
-	m.sig = 0
+	m.sig = [4]uint64{}
 }

@@ -150,44 +150,81 @@ func (c *mapMSHR) earliest(now uint64) (uint64, bool) {
 // TestMSHRFileMatchesMap drives both implementations through the same
 // random workload and requires identical observable behaviour at every
 // step: reserve outcomes, in-flight lookups, busy counts and earliest
-// completions.
+// completions. The small file uses a small line pool to force
+// coalescing. The full 64-entry file (the default LLC's) draws half its
+// pool from lines that share one bit of a 64-bit signature (the top six
+// hash bits agree), the width that file used to saturate, so signature
+// hits that must fall through to the scan and misses the wider
+// signature rejects both occur.
 func TestMSHRFileMatchesMap(t *testing.T) {
-	const capacity = 16
-	rng := rand.New(rand.NewSource(42))
-	arr := newMSHRFile(capacity)
-	ref := &mapMSHR{inflight: make(map[mem.Addr]uint64, capacity*2)}
-
-	now := uint64(0)
-	for step := 0; step < 200_000; step++ {
-		now += uint64(rng.Intn(30))
-		line := mem.Addr(rng.Intn(64)) << 6 // small pool forces coalescing
-		switch rng.Intn(4) {
-		case 0: // reserve, demand or prefetch limit
-			limit := capacity
-			if rng.Intn(2) == 0 {
-				limit--
-			}
-			done := now + uint64(rng.Intn(400))
-			got, want := arr.reserve(line, now, done, limit), ref.reserve(line, now, done, limit)
-			if got != want {
-				t.Fatalf("step %d: reserve(%#x, now=%d) = %v, map says %v", step, line, now, want, got)
-			}
-		case 1:
-			gd, gok := arr.inFlight(line, now)
-			wd, wok := ref.inFlight(line, now)
-			if gd != wd || gok != wok {
-				t.Fatalf("step %d: inFlight(%#x) = (%d,%v), map says (%d,%v)", step, line, gd, gok, wd, wok)
-			}
-		case 2:
-			if got, want := arr.prune(now), ref.prune(now); got != want {
-				t.Fatalf("step %d: busy = %d, map says %d", step, got, want)
-			}
-		case 3:
-			ge, gok := arr.earliest(now)
-			we, wok := ref.earliest(now)
-			if ge != we || gok != wok {
-				t.Fatalf("step %d: earliest = (%d,%v), map says (%d,%v)", step, ge, gok, we, wok)
+	colliding := func(rng *rand.Rand) []mem.Addr {
+		var pool []mem.Addr
+		for id := uint64(1); len(pool) < 96; id++ {
+			if line := mem.Addr(id << 6); uint64(line)*0x9E3779B97F4A7C15>>58 == 0 {
+				pool = append(pool, line)
 			}
 		}
+		for len(pool) < 192 {
+			pool = append(pool, mem.Addr(rng.Intn(1<<24))<<6)
+		}
+		return pool
+	}
+	small := func(*rand.Rand) []mem.Addr {
+		pool := make([]mem.Addr, 64)
+		for i := range pool {
+			pool[i] = mem.Addr(i) << 6
+		}
+		return pool
+	}
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		maxGap   int // cycles between steps
+		maxLife  int // cycles a reservation lasts
+		pool     func(*rand.Rand) []mem.Addr
+	}{
+		{"16-entry", 16, 30, 400, small},
+		{"64-entry-colliding", 64, 6, 1500, colliding},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			pool := tc.pool(rng)
+			arr := newMSHRFile(tc.capacity)
+			ref := &mapMSHR{inflight: make(map[mem.Addr]uint64, tc.capacity*2)}
+
+			now := uint64(0)
+			for step := 0; step < 200_000; step++ {
+				now += uint64(rng.Intn(tc.maxGap))
+				line := pool[rng.Intn(len(pool))]
+				switch rng.Intn(4) {
+				case 0: // reserve, demand or prefetch limit
+					limit := tc.capacity
+					if rng.Intn(2) == 0 {
+						limit--
+					}
+					done := now + uint64(rng.Intn(tc.maxLife))
+					got, want := arr.reserve(line, now, done, limit), ref.reserve(line, now, done, limit)
+					if got != want {
+						t.Fatalf("step %d: reserve(%#x, now=%d) = %v, map says %v", step, line, now, got, want)
+					}
+				case 1:
+					gd, gok := arr.inFlight(line, now)
+					wd, wok := ref.inFlight(line, now)
+					if gd != wd || gok != wok {
+						t.Fatalf("step %d: inFlight(%#x) = (%d,%v), map says (%d,%v)", step, line, gd, gok, wd, wok)
+					}
+				case 2:
+					if got, want := arr.prune(now), ref.prune(now); got != want {
+						t.Fatalf("step %d: busy = %d, map says %d", step, got, want)
+					}
+				case 3:
+					ge, gok := arr.earliest(now)
+					we, wok := ref.earliest(now)
+					if ge != we || gok != wok {
+						t.Fatalf("step %d: earliest = (%d,%v), map says (%d,%v)", step, ge, gok, we, wok)
+					}
+				}
+			}
+		})
 	}
 }

@@ -224,46 +224,53 @@ func (pb *prefetchBuffer) DrainInto(dst []prefetch.Request, max int) []prefetch.
 	return dst
 }
 
-// Requeue re-arms the target at (region, offset) so a later Drain
-// re-issues it. Unknown regions (entry since replaced) are dropped.
-// With cross-region projection a target may live in the entry of the
-// preceding region.
+// Requeue re-arms the issued target at (region, offset) so a later
+// Drain re-issues it. Unknown regions (entry since replaced) and
+// targets not issued are dropped. With cross-region projection the
+// target may instead be one the preceding region's entry projected
+// forward; the entry that issued it is re-armed.
 //
 //pmp:hotpath
 func (pb *prefetchBuffer) Requeue(region uint64, offset int) {
-	if pb.requeueIn(region, region, offset) {
+	n := pb.region.Lines()
+	if !pb.crossRegion {
+		if i, ok := pb.lookup(region); ok {
+			k := offset - pb.entries[i].trigger
+			if k < 0 {
+				k += n
+			}
+			pb.rearm(i, k)
+		}
 		return
 	}
-	if pb.crossRegion && region > 0 {
-		pb.requeueIn(region-1, region, offset)
+	// An entry issues its own region's targets above the trigger
+	// (k = offset - trigger) and projects the rest into the next
+	// region (k = offset + n - trigger).
+	if i, ok := pb.lookup(region); ok && pb.rearm(i, offset-pb.entries[i].trigger) {
+		return
+	}
+	if region > 0 {
+		if i, ok := pb.lookup(region - 1); ok {
+			pb.rearm(i, offset+n-pb.entries[i].trigger)
+		}
 	}
 }
 
-// requeueIn re-arms the target of `entryRegion` whose projected address
-// lands at (targetRegion, offset). It reports whether the entry exists.
+// rearm marks anchored index k of slot i pending again if it is a
+// real target that was issued, and reports whether it was.
 //
 //pmp:hotpath
-func (pb *prefetchBuffer) requeueIn(entryRegion, targetRegion uint64, offset int) bool {
-	i, ok := pb.lookup(entryRegion)
-	if !ok {
+func (pb *prefetchBuffer) rearm(i, k int) bool {
+	if k <= 0 || k >= pb.region.Lines() {
 		return false
 	}
 	e := &pb.entries[i]
-	n := pb.region.Lines()
-	raw := offset - e.trigger
-	if targetRegion == entryRegion+1 {
-		raw += n
-	} else if raw < 0 {
-		raw += n
+	bit := uint64(1) << uint(pb.rankOf[k])
+	if e.targetRank&^e.pendingRank&bit == 0 {
+		return false
 	}
-	if raw > 0 && raw < n {
-		// Re-arm only a real target that was actually issued.
-		bit := uint64(1) << uint(pb.rankOf[raw])
-		e.pendingRank |= e.targetRank &^ e.pendingRank & bit
-		if e.pendingRank != 0 {
-			pb.setPending(i, true)
-		}
-	}
+	e.pendingRank |= bit
+	pb.setPending(i, true)
 	return true
 }
 

@@ -218,3 +218,28 @@ func TestPBCrossRegionDrainAndRequeue(t *testing.T) {
 		t.Fatalf("cross-region requeue failed: %v", again)
 	}
 }
+
+// TestPBCrossRegionRequeueFindsIssuingEntry requeues a target that
+// region 5's entry projected into region 6 while region 6 has an entry
+// of its own. The target must go back to the entry that issued it, not
+// be taken for one of region 6's own offsets and lost.
+func TestPBCrossRegionRequeueFindsIssuingEntry(t *testing.T) {
+	region := mem.NewRegion(4096)
+	projected := region.LineAddr(6, 6) // region 5, trigger 60, k = 10
+	pb := newPrefetchBuffer(4, region)
+	pb.crossRegion = true
+	pb.Insert(5, 60, levelsWith(64, map[int]prefetch.Level{10: prefetch.LevelL1}))
+	pb.Insert(6, 3, levelsWith(64, map[int]prefetch.Level{1: prefetch.LevelL2}))
+	got := pb.Drain(10)
+	if len(got) != 2 {
+		t.Fatalf("drained %v, want two requests", got)
+	}
+	want := prefetch.Request{Addr: projected, Level: prefetch.LevelL1}
+	if got[0] != want && got[1] != want {
+		t.Fatalf("drained %v, want the projected target %v among them", got, want)
+	}
+	pb.Requeue(6, 6)
+	if again := pb.Drain(10); len(again) != 1 || again[0] != want {
+		t.Errorf("after requeue drained %v, want [%v]", again, want)
+	}
+}

@@ -33,18 +33,18 @@ type geometryTable struct {
 // --- seeded violations ---
 
 var badGeometry = Config{
-	Sets: 48,  // want "Sets must be a positive power of two"
-	Ways: 0,   // want "Ways must be >= 1"
-	MSHRs: -1, // want "MSHRs must be >= 1"
+	Sets:   48, // want "Sets must be a positive power of two"
+	Ways:   0,  // want "Ways must be >= 1"
+	MSHRs:  -1, // want "MSHRs must be >= 1"
 	PQSize: -8, // want "PQSize must be >= 0"
 }
 
 var badWidths = Config{
-	RegionBytes: 96,    // want "RegionBytes must be a power of two in \\[128, 4096\\]"
-	TriggerBits: 13,    // want "TriggerBits must be in \\[1, 12\\]"
-	PCBits: 0,          // want "PCBits must be in \\[1, 16\\]"
+	RegionBytes:    96, // want "RegionBytes must be a power of two in \\[128, 4096\\]"
+	TriggerBits:    13, // want "TriggerBits must be in \\[1, 12\\]"
+	PCBits:         0,  // want "PCBits must be in \\[1, 16\\]"
 	OPTCounterBits: 17, // want "OPTCounterBits must be in \\[1, 16\\]"
-	PBEntries: 0,       // want "PBEntries must be >= 1"
+	PBEntries:      0,  // want "PBEntries must be >= 1"
 }
 
 // Cross-field checks fire when RegionBytes is literal in the same
@@ -63,8 +63,8 @@ var badDegree = Config{
 // Suffix matching covers sweep/tuner configs too.
 var badTuner = tunerConfig{
 	PHTSets: 12, // want "PHTSets must be a positive power of two"
-	FTWays: -2,  // want "FTWays must be >= 1"
-	Degree: 65,  // want "Degree must be in \\[0, 64\\]"
+	FTWays:  -2, // want "FTWays must be >= 1"
+	Degree:  65, // want "Degree must be in \\[0, 64\\]"
 }
 
 // --- clean forms ---

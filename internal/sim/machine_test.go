@@ -95,7 +95,7 @@ func TestInclusionPolicyKnob(t *testing.T) {
 			now += 10_000
 			c.demandAccess(0x1, lineA, now)
 		}
-		return c.CacheAt(0).Contains(lineA), c.CacheAt(m.Levels()-1).Contains(lineA)
+		return c.CacheAt(0).Contains(lineA), c.CacheAt(m.Levels() - 1).Contains(lineA)
 	}
 
 	l1Has, llcHas := run(build(false))
